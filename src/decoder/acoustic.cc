@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
+
+#include "util/wire.hh"
 
 namespace darkside {
 
@@ -11,22 +12,21 @@ namespace {
 
 constexpr float kProbabilityFloor = 1e-10f;
 
-template <typename T>
-void
-appendPod(std::string &out, const T &v)
+/**
+ * The per-frame cost transform, shared by fromPosteriors and
+ * ScoreMatrixBuilder so both produce the same bits: writes
+ * scale * -log(max(p, floor)) for every class into `row` and returns
+ * the frame's peak posterior (its confidence).
+ */
+float
+costRow(const Vector &posteriors, float scale, float *row)
 {
-    out.append(reinterpret_cast<const char *>(&v), sizeof(T));
-}
-
-template <typename T>
-bool
-consumePod(const std::string &in, std::size_t &offset, T &v)
-{
-    if (in.size() - offset < sizeof(T))
-        return false;
-    std::memcpy(&v, in.data() + offset, sizeof(T));
-    offset += sizeof(T);
-    return true;
+    float peak = 0.0f;
+    for (float p : posteriors) {
+        peak = std::max(peak, p);
+        *row++ = -scale * std::log(std::max(p, kProbabilityFloor));
+    }
+    return peak;
 }
 
 } // namespace
@@ -38,18 +38,14 @@ AcousticScores::fromPosteriors(const std::vector<Vector> &posteriors,
     ds_assert(!posteriors.empty());
     AcousticScores scores;
     scores.classes_ = posteriors.front().size();
-    scores.costs_.reserve(posteriors.size() * scores.classes_);
+    scores.costs_.resize(posteriors.size() * scores.classes_);
 
     double confidence_sum = 0.0;
+    float *row = scores.costs_.data();
     for (const auto &frame : posteriors) {
         ds_assert(frame.size() == scores.classes_);
-        float peak = 0.0f;
-        for (float p : frame) {
-            peak = std::max(peak, p);
-            scores.costs_.push_back(
-                -scale * std::log(std::max(p, kProbabilityFloor)));
-        }
-        confidence_sum += peak;
+        confidence_sum += costRow(frame, scale, row);
+        row += scores.classes_;
     }
     scores.meanConfidence_ =
         confidence_sum / static_cast<double>(posteriors.size());
@@ -65,11 +61,10 @@ AcousticScores::fromMlp(const Mlp &mlp, const std::vector<Vector> &inputs,
 
 AcousticScores
 AcousticScores::fromEngine(const InferenceEngine &engine,
-                           const std::vector<Vector> &inputs, float scale,
-                           ThreadPool *pool)
+                           const std::vector<Vector> &inputs, float scale)
 {
     std::vector<Vector> posteriors;
-    engine.forwardAll(inputs, posteriors, pool);
+    engine.forwardAll(inputs, posteriors);
     return fromPosteriors(posteriors, scale);
 }
 
@@ -91,11 +86,11 @@ AcousticScores::serialize() const
 {
     std::string out;
     out.reserve(24 + costs_.size() * sizeof(float));
-    appendPod<std::uint64_t>(out, classes_);
-    appendPod<std::uint64_t>(out, costs_.size());
-    appendPod<double>(out, meanConfidence_);
-    out.append(reinterpret_cast<const char *>(costs_.data()),
-               costs_.size() * sizeof(float));
+    wire::Writer(out)
+        .pod<std::uint64_t>(classes_)
+        .pod<std::uint64_t>(costs_.size())
+        .pod(meanConfidence_)
+        .pods(costs_.data(), costs_.size());
     return out;
 }
 
@@ -107,25 +102,22 @@ AcousticScores::deserialize(const std::string &bytes,
         return Status::error("'" + context +
                              "': malformed acoustic-score payload");
     };
-    std::size_t offset = 0;
+    wire::Reader r(bytes);
     std::uint64_t classes = 0;
     std::uint64_t cost_count = 0;
     double mean_confidence = 0.0;
-    if (!consumePod(bytes, offset, classes) ||
-        !consumePod(bytes, offset, cost_count) ||
-        !consumePod(bytes, offset, mean_confidence)) {
+    if (!r.pod(classes) || !r.pod(cost_count) || !r.pod(mean_confidence))
         return malformed();
-    }
     if (classes == 0 || cost_count == 0 || cost_count % classes != 0 ||
-        bytes.size() - offset != cost_count * sizeof(float)) {
+        r.remaining() / sizeof(float) != cost_count ||
+        r.remaining() % sizeof(float) != 0) {
         return malformed();
     }
     AcousticScores scores;
     scores.classes_ = static_cast<std::size_t>(classes);
     scores.meanConfidence_ = mean_confidence;
     scores.costs_.resize(static_cast<std::size_t>(cost_count));
-    std::memcpy(scores.costs_.data(), bytes.data() + offset,
-                scores.costs_.size() * sizeof(float));
+    r.pods(scores.costs_.data(), scores.costs_.size());
     return scores;
 }
 
@@ -152,25 +144,19 @@ ScoreMatrixBuilder::scoreTo(std::size_t upTo)
 
     engine_->forwardRange(*inputs_, scored_, upTo, posteriors_, ws_);
 
-    // Exactly fromPosteriors' per-frame arithmetic, in frame order:
-    // identical cost values and an identical confidence accumulation
-    // order, so the completed matrix is bit-identical to the batch
-    // path for any window boundaries.
+    // fromPosteriors' per-frame transform, in frame order: identical
+    // cost values and an identical confidence accumulation order, so
+    // the completed matrix is bit-identical to the whole-utterance
+    // transform for any window boundaries.
     bool all_finite = true;
     for (std::size_t f = scored_; f < upTo; ++f) {
         Vector &frame = posteriors_[f];
         ds_assert(frame.size() == scores_.classes_);
         float *row = scores_.costs_.data() + f * scores_.classes_;
-        float peak = 0.0f;
-        std::size_t j = 0;
-        for (float p : frame) {
-            peak = std::max(peak, p);
-            const float cost =
-                -scale_ * std::log(std::max(p, kProbabilityFloor));
-            all_finite = all_finite && std::isfinite(cost);
-            row[j++] = cost;
-        }
-        confidenceSum_ += peak;
+        confidenceSum_ += costRow(frame, scale_, row);
+        all_finite = all_finite &&
+            std::all_of(row, row + scores_.classes_,
+                        [](float c) { return std::isfinite(c); });
         Vector().swap(frame); // keep live scratch to one window
     }
     scored_ = upTo;

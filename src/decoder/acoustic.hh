@@ -15,7 +15,6 @@
 #include "dnn/inference.hh"
 #include "dnn/mlp.hh"
 #include "util/status.hh"
-#include "util/thread_pool.hh"
 
 namespace darkside {
 
@@ -47,14 +46,12 @@ class AcousticScores
                                   float scale);
 
     /**
-     * Score every spliced frame with a pre-compiled engine. With a pool,
-     * frame windows are scored in parallel; posteriors are merged in
-     * frame order, so results are identical for any thread count.
+     * Score every spliced frame with a pre-compiled engine, in frame
+     * windows on the calling thread.
      */
     static AcousticScores fromEngine(const InferenceEngine &engine,
                                      const std::vector<Vector> &inputs,
-                                     float scale,
-                                     ThreadPool *pool = nullptr);
+                                     float scale);
 
     /**
      * A score matrix filled with NaN costs, modelling a corrupted
@@ -132,8 +129,8 @@ class AcousticScores
  * scoreTo() boundaries. This holds because the MLP is stateless per
  * frame — the batched GEMM windows are themselves bit-identical to
  * per-frame forward (dnn/inference.hh) — and because this builder
- * replays fromPosteriors' exact per-frame cost/confidence arithmetic
- * in frame order.
+ * applies fromPosteriors' per-frame cost transform (one shared helper)
+ * and accumulates confidence in frame order.
  *
  * Concurrency: the cost matrix is fully allocated up front, so row
  * pointers never move while windows are appended. One thread may call

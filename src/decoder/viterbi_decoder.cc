@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 
 #include "nbest/adaptive_selectors.hh"
+#include "nbest/histogram_selector.hh"
 #include "nbest/selectors.hh"
 
 namespace darkside {
@@ -41,13 +43,34 @@ DecodeResult::backtrace(std::uint32_t trace_index) const
 namespace {
 
 /**
- * One frame of the search. Shared verbatim by the batch kernel
- * (decodeImpl) and the streaming seam (ViterbiStream), so both paths
- * perform identical arithmetic in identical order — the chunked result
- * is bit-identical to the batch result by construction. Templated on
- * observer presence (kObserved) and the concrete selector type: with
- * kObserved == false and Sel a final class, the inner per-arc loop
- * compiles with no observer branches and no virtual calls.
+ * The one selector dispatch of the decoder: call `fn` with `selector`
+ * as its concrete type when it is one of `Sels` (all `final`, so the
+ * downcast is exact and every call through it binds statically), and
+ * through the virtual interface otherwise — the fallback serves only
+ * selectors defined outside the library (bench tees, test oracles).
+ */
+template <typename... Sels, typename Fn>
+void
+visitSelector(HypothesisSelector &selector, Fn &&fn)
+{
+    static_assert((std::is_final_v<Sels> && ...),
+                  "a statically bound selector must be final");
+    const auto bind = [&fn](auto *concrete) {
+        if (concrete)
+            fn(*concrete);
+        return concrete != nullptr;
+    };
+    if (!(bind(dynamic_cast<Sels *>(&selector)) || ...))
+        fn(selector);
+}
+
+/**
+ * One frame of the search: the only decode kernel. Batch decode is a
+ * one-chunk ViterbiStream, so every chunking performs identical
+ * arithmetic in identical order. Templated on observer presence
+ * (kObserved) and the concrete selector type: with kObserved == false
+ * and Sel a final class, the inner per-arc loop compiles with no
+ * observer branches and no virtual calls.
  *
  * @return false when the search died (no survivors this frame).
  */
@@ -118,7 +141,7 @@ sealTrace(TraceArena &arena, DecodeResult &result)
     result.traceStats = arena.stats();
 }
 
-/** Batch epilogue: pick the best token, preferring complete
+/** Utterance epilogue: pick the best token, preferring complete
  *  (final-state) paths, and backtrace it. */
 void
 finalizeBest(const Wfst &fst, DecodeResult &result,
@@ -151,110 +174,44 @@ finalizeBest(const Wfst &fst, DecodeResult &result,
 
 } // namespace
 
-/**
- * The batch search kernel: stepFrame over every row of `scores`, then
- * the best-token epilogue. All four (kObserved x selector)
- * instantiations produce bit-identical results.
- */
-template <bool kObserved, typename Sel>
-DecodeResult
-ViterbiDecoder::decodeImpl(const AcousticScores &scores, Sel &selector,
-                           SearchObserver *observer) const
-{
-    DecodeResult result;
-    const std::size_t frames = scores.frameCount();
-    if (frames == 0)
-        return result;
-    if constexpr (kObserved)
-        observer->onUtteranceStart(frames);
-
-    TraceArena arena(config_.traceGcMinNodes);
-    selector.startUtterance();
-
-    // Double-buffered token storage: `active` is read, the selector
-    // writes survivors into `next`, and the buffers swap — no per-frame
-    // vector allocation.
-    std::vector<Hypothesis> active;
-    std::vector<Hypothesis> next;
-    active.push_back({fst_.start(), 0.0f, 0});
-
-    result.frames.resize(frames);
-
-    // Minimum cost among `active`, maintained across frames: the lone
-    // start token costs 0, afterwards finishFrame reports the survivor
-    // minimum — the same min the seed recomputed by scanning.
-    float active_best = 0.0f;
-
-    for (std::size_t t = 0; t < frames; ++t) {
-        // Hoisted acoustic row: scores.cost(t, ilabel) per arc becomes
-        // one indexed load.
-        if (!stepFrame<kObserved>(fst_, config_, arena, active, next,
-                                  active_best, scores.row(t), t,
-                                  result.frames[t], result, selector,
-                                  observer)) {
-            // Search died (beam too small / selector too aggressive):
-            // report an empty transcript with an explicit dead-search
-            // outcome (+inf cost, no final state reached).
-            sealTrace(arena, result);
-            if constexpr (kObserved)
-                observer->onUtteranceEnd(result.traceStats);
-            return result;
-        }
-    }
-
-    sealTrace(arena, result);
-    finalizeBest(fst_, result, active);
-    if constexpr (kObserved)
-        observer->onUtteranceEnd(result.traceStats);
-    return result;
-}
-
 DecodeResult
 ViterbiDecoder::decode(const AcousticScores &scores,
                        HypothesisSelector &selector,
                        SearchObserver *observer) const
 {
-    // Thin dispatcher: one RTTI chain per *utterance* buys a fully
-    // devirtualized inner loop for the dominant (unbounded) selector
-    // and the adaptive software selectors (all `final`); every other
-    // selector runs the same kernel through the virtual interface.
-    if (auto *unbounded = dynamic_cast<UnboundedSelector *>(&selector)) {
-        return observer
-            ? decodeImpl<true>(scores, *unbounded, observer)
-            : decodeImpl<false>(scores, *unbounded, nullptr);
-    }
-    if (auto *rel =
-            dynamic_cast<RelativeThresholdSelector *>(&selector)) {
-        return observer ? decodeImpl<true>(scores, *rel, observer)
-                        : decodeImpl<false>(scores, *rel, nullptr);
-    }
-    if (auto *adaptive =
-            dynamic_cast<AdaptiveBeamSelector *>(&selector)) {
-        return observer ? decodeImpl<true>(scores, *adaptive, observer)
-                        : decodeImpl<false>(scores, *adaptive, nullptr);
-    }
-    return observer ? decodeImpl<true>(scores, selector, observer)
-                    : decodeImpl<false>(scores, selector, nullptr);
+    // An empty score matrix returns the default result without
+    // touching the selector or the observer.
+    const std::size_t frames = scores.frameCount();
+    if (frames == 0)
+        return DecodeResult{};
+    ViterbiStream stream(*this, selector, observer, frames);
+    stream.advanceFrames(scores, 0, frames);
+    DecodeResult result = stream.finishUtterance();
+    // A dead search still reports one (zero) activity record per frame
+    // of the utterance.
+    result.frames.resize(frames);
+    return result;
 }
 
 ViterbiStream
 ViterbiDecoder::startUtterance(HypothesisSelector &selector,
                                SearchObserver *observer) const
 {
-    return ViterbiStream(*this, selector, observer);
+    return ViterbiStream(*this, selector, observer, 0);
 }
 
 ViterbiStream::ViterbiStream(const ViterbiDecoder &decoder,
                              HypothesisSelector &selector,
-                             SearchObserver *observer)
+                             SearchObserver *observer, std::size_t frames)
     : fst_(&decoder.fst_), config_(decoder.config_),
       selector_(&selector), observer_(observer),
       arena_(decoder.config_.traceGcMinNodes)
 {
+    if (observer_)
+        observer_->onUtteranceStart(frames);
+    result_.frames.reserve(frames);
     active_.push_back({fst_->start(), 0.0f, 0});
     selector_->startUtterance();
-    if (observer_)
-        observer_->onUtteranceStart(0);
 }
 
 void
@@ -266,22 +223,12 @@ ViterbiStream::advanceFrames(const AcousticScores &scores,
     if (dead_)
         return;
 
-    // The same dispatch chain as ViterbiDecoder::decode(), per chunk
-    // instead of per utterance: the streaming arm runs the statically
-    // bound stepFrame instantiation for every `final` selector.
-    if (auto *unbounded =
-            dynamic_cast<UnboundedSelector *>(selector_)) {
-        advanceImpl(scores, begin, end, *unbounded);
-    } else if (auto *rel =
-                   dynamic_cast<RelativeThresholdSelector *>(
-                       selector_)) {
-        advanceImpl(scores, begin, end, *rel);
-    } else if (auto *adaptive =
-                   dynamic_cast<AdaptiveBeamSelector *>(selector_)) {
-        advanceImpl(scores, begin, end, *adaptive);
-    } else {
-        advanceImpl(scores, begin, end, *selector_);
-    }
+    visitSelector<UnboundedSelector, AccurateNBest, DirectMappedHash,
+                  SetAssociativeHash, HistogramPruning,
+                  RelativeThresholdSelector, AdaptiveBeamSelector>(
+        *selector_, [&](auto &selector) {
+            advanceImpl(scores, begin, end, selector);
+        });
 }
 
 template <typename Sel>
@@ -312,8 +259,9 @@ ViterbiStream::advanceImpl(const AcousticScores &scores,
             throw;
         }
         if (!alive) {
-            // Search died: same terminal outcome as the batch kernel
-            // (empty transcript, +inf cost, no final state).
+            // Search died (beam too small / selector too aggressive):
+            // an empty transcript with an explicit dead-search outcome
+            // (+inf cost, no final state reached).
             dead_ = true;
             sealTrace(arena_, result_);
             if (observer_)
@@ -353,8 +301,8 @@ ViterbiStream::finishUtterance()
     if (dead_)
         return std::move(result_);
     if (result_.frames.empty()) {
-        // Batch decode of an empty score matrix returns the default
-        // result without touching the arena or the observer.
+        // Zero frames fed: the default result, as decode() returns for
+        // an empty score matrix.
         return DecodeResult{};
     }
     sealTrace(arena_, result_);

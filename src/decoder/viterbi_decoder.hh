@@ -7,12 +7,12 @@
  * proposed hash-based loose N-best. Per-frame activity counters feed the
  * workload figures (Fig. 4) and the accelerator cycle model.
  *
- * The decode loop itself is a devirtualized template (see DESIGN.md
- * "Decode hot path"): `decode()` dispatches once per utterance on
- * (observer attached?, selector is the UnboundedSelector?), so the
- * common sweep/bench configuration runs with zero virtual calls and
- * zero observer branches per arc, while results stay bit-identical
- * across all dispatch variants.
+ * There is one decode loop (see DESIGN.md "Decode hot path"): batch
+ * `decode()` is a one-chunk ViterbiStream. Each chunk dispatches once
+ * through one selector visitor that binds all seven library selectors
+ * (all `final`) statically, and each frame picks the observed or
+ * unobserved kernel, so the per-arc loop runs with zero virtual calls
+ * and, without an observer, zero observer branches.
  */
 
 #ifndef DARKSIDE_DECODER_VITERBI_DECODER_HH
@@ -137,7 +137,10 @@ class ViterbiDecoder
     ViterbiDecoder(const Wfst &fst, const DecoderConfig &config);
 
     /**
-     * Decode one utterance.
+     * Decode one utterance: a ViterbiStream fed every frame as one
+     * chunk, then finished. The observer sees onUtteranceStart(frames);
+     * an empty score matrix returns the default result without
+     * touching the selector or the observer.
      * @param scores per-frame acoustic costs
      * @param selector survival policy (reset internally per frame)
      * @param observer optional hardware-model hooks
@@ -164,10 +167,6 @@ class ViterbiDecoder
   private:
     friend class ViterbiStream;
 
-    template <bool kObserved, typename Sel>
-    DecodeResult decodeImpl(const AcousticScores &scores, Sel &selector,
-                            SearchObserver *observer) const;
-
     const Wfst &fst_;
     DecoderConfig config_;
 };
@@ -187,16 +186,17 @@ struct PartialHypothesis
 
 /**
  * Per-utterance incremental decode state (see
- * ViterbiDecoder::startUtterance). Runs the exact batch per-frame
- * kernel over whatever chunk boundaries the caller picks, so chunking
- * never changes the result; only the final best-token selection and
- * backtrace wait for finishUtterance().
+ * ViterbiDecoder::startUtterance) — the decoder's only search loop;
+ * batch decode() drives it as one chunk. The per-frame kernel runs over
+ * whatever chunk boundaries the caller picks, so chunking never changes
+ * the result; only the final best-token selection and backtrace wait
+ * for finishUtterance().
  *
  * Movable, not copyable. One selector serves one stream at a time (its
- * per-frame state is reset at each frame boundary, exactly as in batch
- * decode). A throwing observer (e.g. DecodeWatchdog) aborts the stream:
- * the exception propagates out of advanceFrames and the stream is dead
- * afterwards — the serving layer's degradation path.
+ * per-frame state is reset at each frame boundary). A throwing
+ * observer (e.g. DecodeWatchdog) aborts the stream: the exception
+ * propagates out of advanceFrames and the stream is dead afterwards —
+ * the serving layer's degradation path.
  */
 class ViterbiStream
 {
@@ -229,23 +229,27 @@ class ViterbiStream
     PartialHypothesis partial() const;
 
     /**
-     * Close the utterance: runs the batch epilogue (best-final vs
+     * Close the utterance: runs the epilogue (best-final vs
      * best-any token, backtrace) and returns the DecodeResult. The
-     * stream is spent afterwards. Zero frames fed returns the same
-     * empty result batch decode gives an empty score matrix; a dead
-     * stream returns the dead-search result (empty words, +inf cost).
+     * stream is spent afterwards. Zero frames fed returns the default
+     * result (as decode() does for an empty score matrix); a dead
+     * stream returns the dead-search result (empty words, +inf cost)
+     * with activity records for the frames consumed up to its death.
      */
     DecodeResult finishUtterance();
 
   private:
     friend class ViterbiDecoder;
 
+    /** `frames` is the utterance length when known up front (batch
+     *  decode), reported through onUtteranceStart; 0 when streaming. */
     ViterbiStream(const ViterbiDecoder &decoder,
-                  HypothesisSelector &selector, SearchObserver *observer);
+                  HypothesisSelector &selector, SearchObserver *observer,
+                  std::size_t frames);
 
     /** The chunk loop, templated on the concrete selector type so
-     *  advanceFrames' dispatch (same chain as decode()) reaches the
-     *  statically bound stepFrame instantiations. */
+     *  advanceFrames' selector visitor reaches the statically bound
+     *  stepFrame instantiations. */
     template <typename Sel>
     void advanceImpl(const AcousticScores &scores, std::size_t begin,
                      std::size_t end, Sel &selector);

@@ -2,9 +2,8 @@
  * @file
  * Adaptive frame-level pruning selectors — the software answer to the
  * paper's hypothesis explosion (ROADMAP item 2). Both slot into the
- * finishFrame selector seam and are `final`, so the decoder's
- * devirtualized kernel binds them statically in the batch and the
- * streaming arm alike.
+ * finishFrame selector seam and are `final`, so the decoder's selector
+ * visitor binds them statically.
  *
  *  - RelativeThresholdSelector: FLToP-style frame-level relative
  *    threshold pruning (arXiv 2510.09085). Every frame keeps exactly

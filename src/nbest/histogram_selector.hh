@@ -26,7 +26,7 @@ namespace darkside {
 /**
  * Max-active selection via cost histograms.
  */
-class HistogramPruning : public HypothesisSelector
+class HistogramPruning final : public HypothesisSelector
 {
   public:
     /**

@@ -12,6 +12,9 @@
  *    cheaper path (the paper's direct-mapped line in Fig. 7).
  *  - SetAssociativeHash: the paper's proposal — K-way sets with Max-Heap
  *    replacement, loosely tracking the N best (N = entries).
+ *
+ * Every library selector is `final`, so the decoder's one selector
+ * visitor binds its methods statically (no virtual call per arc).
  */
 
 #ifndef DARKSIDE_NBEST_SELECTORS_HH
@@ -40,9 +43,6 @@ namespace darkside {
  * distinct states in first-insertion order with per-node touch counts,
  * which is exactly the information the online classification consumed,
  * so the stats are byte-identical to the seed's.
- *
- * `final` so the decoder's devirtualized fast path can bind these
- * methods statically.
  */
 class UnboundedSelector final : public HypothesisSelector
 {
@@ -87,7 +87,7 @@ class UnboundedSelector final : public HypothesisSelector
 /**
  * Exact N-best selection via partial sort.
  */
-class AccurateNBest : public HypothesisSelector
+class AccurateNBest final : public HypothesisSelector
 {
   public:
     explicit AccurateNBest(std::size_t n);
@@ -108,7 +108,7 @@ class AccurateNBest : public HypothesisSelector
 /**
  * Direct-mapped bounded hash (associativity 1).
  */
-class DirectMappedHash : public HypothesisSelector
+class DirectMappedHash final : public HypothesisSelector
 {
   public:
     /** @param entries table size; must be a power of two. */
@@ -129,7 +129,7 @@ class DirectMappedHash : public HypothesisSelector
 /**
  * The proposed K-way set-associative hash with Max-Heap replacement.
  */
-class SetAssociativeHash : public HypothesisSelector
+class SetAssociativeHash final : public HypothesisSelector
 {
   public:
     /**

@@ -9,50 +9,11 @@
 #include "telemetry/metrics.hh"
 #include "telemetry/snapshot.hh"
 #include "util/bits.hh"
+#include "util/wire.hh"
 
 namespace darkside {
 
 namespace {
-
-// Same POD framing as the sweep checkpoint units (asr_system.cc): a
-// journal unit must parse all-or-nothing, so a torn or stale unit is
-// recomputed instead of half-replayed.
-
-template <typename T>
-void
-appendPod(std::string &out, const T &v)
-{
-    out.append(reinterpret_cast<const char *>(&v), sizeof(T));
-}
-
-void
-appendString(std::string &out, const std::string &s)
-{
-    appendPod<std::uint64_t>(out, s.size());
-    out.append(s);
-}
-
-template <typename T>
-bool
-consumePod(const std::string &in, std::size_t &offset, T &v)
-{
-    if (in.size() - offset < sizeof(T))
-        return false;
-    std::memcpy(&v, in.data() + offset, sizeof(T));
-    offset += sizeof(T);
-    return true;
-}
-
-bool
-consumeString(const std::string &in, std::size_t &offset, std::string &s)
-{
-    std::uint64_t len = 0;
-    if (!consumePod(in, offset, len) || in.size() - offset < len)
-        return false;
-    s.assign(in, offset, static_cast<std::size_t>(len));
-    offset += static_cast<std::size_t>(len);
-    return true;
-}
 
 void
 bumpServeDrainCounter(const char *name, const char *unit)
@@ -109,19 +70,20 @@ ServeCheckpoint::saveSession(std::uint64_t sessionKey,
                              const SessionOutcome &outcome,
                              const telemetry::Snapshot &delta) const
 {
+    // A journal unit parses all-or-nothing (loadSession), so a torn or
+    // stale unit is recomputed instead of half-replayed.
     std::string payload;
-    appendPod<std::uint64_t>(payload, sessionKey);
-    appendPod<std::uint64_t>(payload, outcome.index);
-    appendPod<std::uint64_t>(payload, outcome.utteranceId);
-    appendPod<std::uint8_t>(payload, outcome.degraded ? 1 : 0);
-    appendString(payload, outcome.faultCause);
-    appendPod<std::uint64_t>(payload, outcome.frames);
-    appendPod<std::uint64_t>(payload, outcome.chunks);
-    appendPod<double>(payload, outcome.totalCost);
-    appendPod<std::uint64_t>(payload, outcome.words.size());
-    for (const WordId w : outcome.words)
-        appendPod<std::uint32_t>(payload, w);
-    appendString(payload, delta.toJson());
+    wire::Writer(payload)
+        .pod<std::uint64_t>(sessionKey)
+        .pod<std::uint64_t>(outcome.index)
+        .pod<std::uint64_t>(outcome.utteranceId)
+        .pod<std::uint8_t>(outcome.degraded ? 1 : 0)
+        .string(outcome.faultCause)
+        .pod<std::uint64_t>(outcome.frames)
+        .pod<std::uint64_t>(outcome.chunks)
+        .pod<double>(outcome.totalCost)
+        .vector(outcome.words)
+        .string(delta.toJson());
 
     const std::string name = sessionUnitName(outcome.index);
     const Status status = store_.write(name, kSessionKind, payload);
@@ -152,22 +114,15 @@ ServeCheckpoint::loadSession(std::size_t index,
     if (!payload.isOk())
         return std::nullopt;
 
-    const std::string &in = payload.value();
-    std::size_t offset = 0;
-    std::uint64_t key = 0, stored_index = 0, word_count = 0;
+    wire::Reader r(payload.value());
+    std::uint64_t key = 0, stored_index = 0, frames = 0, chunks = 0;
     std::uint8_t degraded = 0;
+    std::string delta_json;
     SessionOutcome o;
-    std::uint64_t frames = 0, chunks = 0;
-    if (!consumePod(in, offset, key) ||
-        !consumePod(in, offset, stored_index) ||
-        !consumePod(in, offset, o.utteranceId) ||
-        !consumePod(in, offset, degraded) || degraded > 1 ||
-        !consumeString(in, offset, o.faultCause) ||
-        !consumePod(in, offset, frames) ||
-        !consumePod(in, offset, chunks) ||
-        !consumePod(in, offset, o.totalCost) ||
-        !consumePod(in, offset, word_count) ||
-        in.size() - offset < word_count * sizeof(std::uint32_t)) {
+    if (!r.pod(key) || !r.pod(stored_index) || !r.pod(o.utteranceId) ||
+        !r.pod(degraded) || degraded > 1 || !r.string(o.faultCause) ||
+        !r.pod(frames) || !r.pod(chunks) || !r.pod(o.totalCost) ||
+        !r.vector(o.words) || !r.string(delta_json) || !r.done()) {
         return std::nullopt;
     }
     if (key != sessionKey || stored_index != index)
@@ -176,15 +131,6 @@ ServeCheckpoint::loadSession(std::size_t index,
     o.degraded = degraded != 0;
     o.frames = static_cast<std::size_t>(frames);
     o.chunks = static_cast<std::size_t>(chunks);
-    o.words.resize(static_cast<std::size_t>(word_count));
-    for (auto &w : o.words) {
-        std::uint32_t raw = 0;
-        consumePod(in, offset, raw);
-        w = raw;
-    }
-    std::string delta_json;
-    if (!consumeString(in, offset, delta_json) || offset != in.size())
-        return std::nullopt;
     auto delta = telemetry::Snapshot::parseJson(delta_json);
     if (!delta.isOk())
         return std::nullopt;
@@ -200,13 +146,14 @@ Status
 ServeCheckpoint::saveManifest(const ServeManifest &manifest) const
 {
     std::string payload;
-    appendPod<std::uint64_t>(payload, manifest.configKey);
-    appendPod<std::uint64_t>(payload, manifest.offered);
-    appendPod<std::uint64_t>(payload, manifest.admitted);
-    appendPod<std::uint64_t>(payload, manifest.shed);
-    appendPod<std::uint64_t>(payload, manifest.completed);
-    appendPod<std::uint64_t>(payload, manifest.degraded);
-    appendPod<std::uint64_t>(payload, manifest.resumedSessions);
+    wire::Writer(payload)
+        .pod(manifest.configKey)
+        .pod(manifest.offered)
+        .pod(manifest.admitted)
+        .pod(manifest.shed)
+        .pod(manifest.completed)
+        .pod(manifest.degraded)
+        .pod(manifest.resumedSessions);
     return store_.write(kManifestName, kManifestKind, payload);
 }
 
@@ -216,17 +163,11 @@ ServeCheckpoint::loadManifest() const
     auto payload = store_.read(kManifestName, kManifestKind);
     if (!payload.isOk())
         return Status::error(payload.message());
-    const std::string &in = payload.value();
-    std::size_t offset = 0;
+    wire::Reader r(payload.value());
     ServeManifest m;
-    if (!consumePod(in, offset, m.configKey) ||
-        !consumePod(in, offset, m.offered) ||
-        !consumePod(in, offset, m.admitted) ||
-        !consumePod(in, offset, m.shed) ||
-        !consumePod(in, offset, m.completed) ||
-        !consumePod(in, offset, m.degraded) ||
-        !consumePod(in, offset, m.resumedSessions) ||
-        offset != in.size()) {
+    if (!r.pod(m.configKey) || !r.pod(m.offered) || !r.pod(m.admitted) ||
+        !r.pod(m.shed) || !r.pod(m.completed) || !r.pod(m.degraded) ||
+        !r.pod(m.resumedSessions) || !r.done()) {
         return Status::error("serve manifest payload is malformed");
     }
     return m;

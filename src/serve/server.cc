@@ -278,10 +278,8 @@ StreamingServer::offer(const Utterance &utt)
     }
     pool_.submit([this, utt, index, now, breakerProbe] {
         runSession(utt, index, now, breakerProbe);
-        {
-            std::lock_guard<std::mutex> lock(doneMutex_);
-            --inflight_;
-        }
+        std::lock_guard<std::mutex> lock(doneMutex_);
+        --inflight_;
         doneCv_.notify_all();
     });
     return true;

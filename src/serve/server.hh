@@ -256,6 +256,15 @@ class StreamingServer
 
     AsrSystem &system_;
     ServeConfig config_;
+
+    /** In-flight session count; drain() waits on it. Declared before
+     *  pool_ so it is destroyed after pool_ has joined its workers: a
+     *  session task still touches doneMutex_/doneCv_ after the
+     *  decrement that lets ~StreamingServer -> drain() return. */
+    std::mutex doneMutex_;
+    std::condition_variable doneCv_;
+    std::size_t inflight_ = 0;
+
     ThreadPool pool_;
     AdmissionController admission_;
     PartialCallback partialCallback_;
@@ -275,10 +284,6 @@ class StreamingServer
     std::size_t consecutiveDegraded_ = 0;
     std::chrono::steady_clock::time_point breakerOpenedAt_;
     bool breakerProbeInFlight_ = false;
-
-    std::mutex doneMutex_;
-    std::condition_variable doneCv_;
-    std::size_t inflight_ = 0;
 };
 
 } // namespace darkside

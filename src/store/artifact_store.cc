@@ -14,6 +14,7 @@
 #include "telemetry/metrics.hh"
 #include "util/crc32.hh"
 #include "util/logging.hh"
+#include "util/wire.hh"
 
 namespace darkside {
 
@@ -55,24 +56,6 @@ struct StoreMetrics
         return m;
     }
 };
-
-template <typename T>
-void
-appendPod(std::string &out, const T &v)
-{
-    out.append(reinterpret_cast<const char *>(&v), sizeof(T));
-}
-
-template <typename T>
-bool
-consumePod(const std::string &bytes, std::size_t &offset, T *v)
-{
-    if (bytes.size() - offset < sizeof(T))
-        return false;
-    std::memcpy(v, bytes.data() + offset, sizeof(T));
-    offset += sizeof(T);
-    return true;
-}
 
 /** Write all of `buf` to `fd`, riding out short writes and EINTR. */
 bool
@@ -139,14 +122,15 @@ ArtifactStore::write(const std::string &name, const std::string &kind,
     // Frame: magic, version, kind, payload length, payload CRC, payload.
     std::string frame;
     frame.reserve(payload.size() + kind.size() + 32);
-    appendPod(frame, kMagic);
-    appendPod(frame, kFormatVersion);
-    appendPod(frame, static_cast<std::uint32_t>(kind.size()));
-    frame += kind;
-    appendPod(frame, static_cast<std::uint64_t>(payload.size()));
-    appendPod(frame, crc32(payload));
+    wire::Writer w(frame);
+    w.pod(kMagic)
+        .pod(kFormatVersion)
+        .pod(static_cast<std::uint32_t>(kind.size()))
+        .bytes(kind)
+        .pod(static_cast<std::uint64_t>(payload.size()))
+        .pod(crc32(payload));
     const std::size_t header_bytes = frame.size();
-    frame += payload;
+    w.bytes(payload);
 
     // A torn write models a crash (or lying disk) that left a
     // half-written payload *after* the commit protocol claimed
@@ -285,11 +269,11 @@ ArtifactStore::read(const std::string &name,
                              reason + "; quarantined");
     };
 
-    std::size_t offset = 0;
+    wire::Reader r(bytes);
     std::uint32_t magic = 0, version = 0, kind_len = 0;
-    if (!consumePod(bytes, offset, &magic) || magic != kMagic)
+    if (!r.pod(magic) || magic != kMagic)
         return corrupt("has no DSA1 frame");
-    if (!consumePod(bytes, offset, &version))
+    if (!r.pod(version))
         return corrupt("has a truncated header");
     if (version > kFormatVersion) {
         // Intact data from the future: refuse without destroying it.
@@ -299,22 +283,21 @@ ArtifactStore::read(const std::string &name,
                              " > supported " +
                              std::to_string(kFormatVersion));
     }
-    if (!consumePod(bytes, offset, &kind_len) ||
-        kind_len > kMaxKindLength || bytes.size() - offset < kind_len) {
+    std::string actual_kind;
+    if (!r.pod(kind_len) || kind_len > kMaxKindLength ||
+        !r.bytes(actual_kind, kind_len)) {
         return corrupt("has a corrupt kind tag");
     }
-    const std::string actual_kind = bytes.substr(offset, kind_len);
-    offset += kind_len;
 
     std::uint64_t payload_len = 0;
     std::uint32_t expected_crc = 0;
-    if (!consumePod(bytes, offset, &payload_len) ||
-        !consumePod(bytes, offset, &expected_crc)) {
+    if (!r.pod(payload_len) || !r.pod(expected_crc))
         return corrupt("has a truncated header");
-    }
-    if (bytes.size() - offset != payload_len)
+    std::string payload;
+    if (r.remaining() != payload_len ||
+        !r.bytes(payload, r.remaining())) {
         return corrupt("is torn (payload length mismatch)");
-    const std::string payload = bytes.substr(offset);
+    }
     if (crc32(payload) != expected_crc)
         return corrupt("fails CRC-32 verification");
 

@@ -7,9 +7,11 @@
 #include "decoder/watchdog.hh"
 #include "nbest/adaptive_selectors.hh"
 #include "fault/fault.hh"
+#include "system/score_stream.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/snapshot.hh"
 #include "util/bits.hh"
+#include "util/wire.hh"
 
 namespace darkside {
 
@@ -72,42 +74,6 @@ outcomeOf(UtteranceRun &&run)
 
 // --- checkpoint unit payload (outcomes + telemetry delta) ---------------
 
-template <typename T>
-void
-appendPod(std::string &out, const T &v)
-{
-    out.append(reinterpret_cast<const char *>(&v), sizeof(T));
-}
-
-void
-appendString(std::string &out, const std::string &s)
-{
-    appendPod<std::uint64_t>(out, s.size());
-    out.append(s);
-}
-
-template <typename T>
-bool
-consumePod(const std::string &in, std::size_t &offset, T &v)
-{
-    if (in.size() - offset < sizeof(T))
-        return false;
-    std::memcpy(&v, in.data() + offset, sizeof(T));
-    offset += sizeof(T);
-    return true;
-}
-
-bool
-consumeString(const std::string &in, std::size_t &offset, std::string &s)
-{
-    std::uint64_t len = 0;
-    if (!consumePod(in, offset, len) || in.size() - offset < len)
-        return false;
-    s.assign(in, offset, static_cast<std::size_t>(len));
-    offset += static_cast<std::size_t>(len);
-    return true;
-}
-
 /**
  * Key binding a checkpoint unit to its exact inputs: the configuration
  * and the ids of the utterances in the batch. A journal reused with
@@ -149,25 +115,23 @@ encodeUnit(std::uint64_t inputsKey,
            const telemetry::Snapshot &delta)
 {
     std::string out;
-    appendPod<std::uint64_t>(out, inputsKey);
-    appendPod<std::uint64_t>(out, end - begin);
+    wire::Writer w(out);
+    w.pod<std::uint64_t>(inputsKey).pod<std::uint64_t>(end - begin);
     for (std::size_t i = begin; i < end; ++i) {
         const UtteranceOutcome &o = outcomes[i];
-        appendPod<std::uint8_t>(out, o.degraded ? 1 : 0);
-        appendString(out, o.faultCause);
-        appendPod<std::uint64_t>(out, o.frames);
-        appendPod<std::uint64_t>(out, o.survivors);
-        appendPod<std::uint64_t>(out, o.generated);
-        appendPod<double>(out, o.meanConfidence);
-        appendPod<double>(out, o.dnn.seconds);
-        appendPod<double>(out, o.dnn.joules);
-        appendPod<double>(out, o.viterbi.seconds);
-        appendPod<double>(out, o.viterbi.joules);
-        appendPod<std::uint64_t>(out, o.words.size());
-        for (const WordId w : o.words)
-            appendPod<std::uint32_t>(out, w);
+        w.pod<std::uint8_t>(o.degraded ? 1 : 0)
+            .string(o.faultCause)
+            .pod(o.frames)
+            .pod(o.survivors)
+            .pod(o.generated)
+            .pod(o.meanConfidence)
+            .pod(o.dnn.seconds)
+            .pod(o.dnn.joules)
+            .pod(o.viterbi.seconds)
+            .pod(o.viterbi.joules)
+            .vector(o.words);
     }
-    appendString(out, delta.toJson());
+    w.string(delta.toJson());
     return out;
 }
 
@@ -182,48 +146,30 @@ decodeUnit(const std::string &payload, std::uint64_t expectedKey,
            std::vector<UtteranceOutcome> &outcomes, std::size_t begin,
            std::size_t end)
 {
-    std::size_t offset = 0;
+    wire::Reader r(payload);
     std::uint64_t key = 0;
     std::uint64_t count = 0;
-    if (!consumePod(payload, offset, key) ||
-        !consumePod(payload, offset, count)) {
+    if (!r.pod(key) || !r.pod(count))
         return false;
-    }
     if (key != expectedKey || count != end - begin)
         return false;
 
     std::vector<UtteranceOutcome> decoded(count);
     for (auto &o : decoded) {
         std::uint8_t degraded = 0;
-        std::uint64_t word_count = 0;
-        if (!consumePod(payload, offset, degraded) || degraded > 1 ||
-            !consumeString(payload, offset, o.faultCause) ||
-            !consumePod(payload, offset, o.frames) ||
-            !consumePod(payload, offset, o.survivors) ||
-            !consumePod(payload, offset, o.generated) ||
-            !consumePod(payload, offset, o.meanConfidence) ||
-            !consumePod(payload, offset, o.dnn.seconds) ||
-            !consumePod(payload, offset, o.dnn.joules) ||
-            !consumePod(payload, offset, o.viterbi.seconds) ||
-            !consumePod(payload, offset, o.viterbi.joules) ||
-            !consumePod(payload, offset, word_count) ||
-            payload.size() - offset <
-                word_count * sizeof(std::uint32_t)) {
+        if (!r.pod(degraded) || degraded > 1 ||
+            !r.string(o.faultCause) || !r.pod(o.frames) ||
+            !r.pod(o.survivors) || !r.pod(o.generated) ||
+            !r.pod(o.meanConfidence) || !r.pod(o.dnn.seconds) ||
+            !r.pod(o.dnn.joules) || !r.pod(o.viterbi.seconds) ||
+            !r.pod(o.viterbi.joules) || !r.vector(o.words)) {
             return false;
         }
         o.degraded = degraded != 0;
-        o.words.resize(static_cast<std::size_t>(word_count));
-        for (auto &w : o.words) {
-            std::uint32_t raw = 0;
-            consumePod(payload, offset, raw);
-            w = raw;
-        }
     }
     std::string delta_json;
-    if (!consumeString(payload, offset, delta_json) ||
-        offset != payload.size()) {
+    if (!r.string(delta_json) || !r.done())
         return false;
-    }
     auto delta = telemetry::Snapshot::parseJson(delta_json);
     if (!delta.isOk())
         return false;
@@ -416,48 +362,9 @@ AsrSystem::persistScores(const ScoreKey &key,
 }
 
 std::shared_ptr<const AcousticScores>
-AsrSystem::scoresFor(const Utterance &utt, PruneLevel level,
-                     ThreadPool *pool)
+AsrSystem::scoresFor(const Utterance &utt, PruneLevel level)
 {
-    const ScoreKey key(static_cast<int>(level), utt.id);
-    const bool cacheable = utt.id != 0;
-
-    bool discarded_corrupt_hit = false;
-    if (cacheable) {
-        auto found = scoreCache_.lookup(key);
-        if (found.scores)
-            return found.scores;
-        discarded_corrupt_hit = found.corruptDiscarded;
-        if (auto restored = readPersistedScores(key))
-            return scoreCache_.insert(key, std::move(restored));
-    }
-
-    // Compute outside any lock: scoring dominates, and concurrent
-    // requests for *different* utterances must not serialise. Two
-    // threads racing on the same utterance compute identical scores;
-    // the insert below simply keeps the first one's entry.
-    auto spliced = corpus_.spliceUtterance(utt);
-    if (auto kind = FaultInjector::global().trigger("inference.scores",
-                                                    utt.id)) {
-        if (*kind != FaultKind::NanScores)
-            throw FaultError("inference.scores", *kind, utt.id);
-        // Poisoned scores are returned but never cached, so a later
-        // fault-free run of the same utterance recomputes cleanly.
-        return std::make_shared<const AcousticScores>(
-            AcousticScores::poisoned(spliced.size(),
-                                     corpus_.classCount()));
-    }
-    const InferenceEngine &engine = engineFor(level);
-    auto scores = std::make_shared<const AcousticScores>(
-        AcousticScores::fromEngine(engine, spliced,
-                                   platform_.acousticScale, pool));
-    if (discarded_corrupt_hit)
-        FaultInjector::global().noteRecovered();
-    if (!cacheable)
-        return scores;
-
-    persistScores(key, *scores);
-    return scoreCache_.insert(key, std::move(scores));
+    return openScoreStream(utt, level)->finish();
 }
 
 UtteranceRun

@@ -243,25 +243,28 @@ class AsrSystem
 
     /**
      * Score an utterance with a model, memoised per (level, utterance
-     * id) in a bounded LRU cache. Utterances without an id (id == 0)
-     * are scored fresh each time. Thread-safe; the returned scores are
-     * shared ownership so eviction cannot invalidate a reader. Public
-     * so benchmarks can score once and time the decode alone.
+     * id) in a bounded LRU cache and the persistent store. Utterances
+     * without an id (id == 0) are scored fresh each time. Thread-safe;
+     * the returned scores are shared ownership so eviction cannot
+     * invalidate a reader. Public so benchmarks can score once and time
+     * the decode alone.
+     *
+     * This is a ScoreStream opened and finished on the calling thread:
+     * the one scoring path. An injected NaN fault returns the poisoned
+     * (all-NaN, never cached) matrix; other injected faults, and a
+     * non-finite computed cost, throw FaultError.
      */
     std::shared_ptr<const AcousticScores>
-    scoresFor(const Utterance &utt, PruneLevel level,
-              ThreadPool *pool = nullptr);
+    scoresFor(const Utterance &utt, PruneLevel level);
 
     /**
-     * Open an incremental scoring stream for an utterance: the
-     * streaming counterpart of scoresFor (src/system/score_stream.hh).
-     * Scores already resident in the LRU or the persistent store
-     * arrive complete; otherwise the stream scores frame windows on
-     * demand (ensureScored) or on a background prefetch thread
-     * (startPrefetch), and finish() commits the completed matrix to
-     * the same caches scoresFor fills. Throws FaultError when the
-     * inference.scores probe injects a non-NaN fault, exactly like
-     * scoresFor.
+     * Open an incremental scoring stream for an utterance
+     * (src/system/score_stream.hh). Scores already resident in the LRU
+     * or the persistent store arrive complete; otherwise the stream
+     * scores frame windows on demand (ensureScored) or on a background
+     * prefetch thread (startPrefetch), and finish() commits the
+     * completed matrix to the caches. Throws FaultError when the
+     * inference.scores probe injects a non-NaN fault.
      */
     std::unique_ptr<ScoreStream> openScoreStream(const Utterance &utt,
                                                  PruneLevel level);
@@ -269,8 +272,8 @@ class AsrSystem
   private:
     friend class ScoreStream;
 
-    /** LRU + persistent-store read path shared by scoresFor and
-     *  ScoreStream. Null when neither holds the key. */
+    /** Persistent-store read path of ScoreStream. Null when the store
+     *  does not hold the key. */
     std::shared_ptr<const AcousticScores> readPersistedScores(
         const ScoreKey &key);
     /** Best-effort write-through to the persistent store. */

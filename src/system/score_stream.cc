@@ -39,9 +39,9 @@ ScoreStream::ScoreStream(AsrSystem &system, const Utterance &utt,
                                                     utt.id)) {
         if (*kind != FaultKind::NanScores)
             throw FaultError("inference.scores", *kind, utt.id);
-        // Poisoned at open, exactly like scoresFor: the whole matrix
-        // is NaN, the caller degrades the utterance, and nothing is
-        // ever cached from this stream.
+        // Poisoned at open: the whole matrix is NaN, the caller
+        // degrades the utterance, and nothing is ever cached from this
+        // stream, so a later fault-free run recomputes cleanly.
         shared_ = std::make_shared<const AcousticScores>(
             AcousticScores::poisoned(spliced_.size(),
                                      system_.corpus().classCount()));
@@ -98,7 +98,7 @@ ScoreStream::ensureScored(std::size_t frame)
     if (builder_->scoredFrames() >= target)
         return;
     if (!builder_->scoreTo(target)) {
-        // Same degradation the batch path's finite() check raises.
+        // The caller degrades the utterance, as on a poisoned matrix.
         throw FaultError("inference.scores", FaultKind::NanScores,
                          uttId_);
     }

@@ -1,9 +1,11 @@
 /**
  * @file
- * Incremental acoustic scoring for one utterance, pipelined with the
- * streaming decode: the ScoreStream scores frame windows while the
- * session decodes earlier chunks, so the first partial hypothesis no
- * longer waits for the whole utterance to be scored.
+ * Acoustic scoring for one utterance — the system's only scoring path.
+ * AsrSystem::scoresFor is a ScoreStream opened and finished on the
+ * calling thread; the streaming server keeps the stream open and
+ * decodes early chunks while later frame windows are still being
+ * scored, so the first partial hypothesis does not wait for the whole
+ * utterance.
  *
  * A stream opens in one of two states:
  *
@@ -15,17 +17,16 @@
  *    startPrefetch(), which scores window after window in the
  *    background.
  *
- * Bit-identity: the completed matrix is bit-identical to
- * AsrSystem::scoresFor for any window size (ScoreMatrixBuilder's
- * contract), and finish() commits it to the same LRU + store, so a
- * later batch decode of the same utterance hits the identical bytes.
+ * The completed matrix is the same for any window size
+ * (ScoreMatrixBuilder's contract), and finish() commits it to the LRU
+ * and the store, so every later open of the same key sees the
+ * identical bytes. A corrupt LRU hit (the system.score_cache probe) is
+ * discarded at open and its recovery noted once the recompute lands.
  *
- * Faults follow the batch path exactly: the inference.scores probe is
- * consulted once at open (NaN fault → poisoned() stream that is never
- * cached; other kinds throw FaultError from openScoreStream), and a
- * non-finite cost produced mid-stream surfaces as the same
- * FaultError(inference.scores, NanScores) the batch finite() check
- * raises.
+ * Faults: the inference.scores probe is consulted once at open (NaN
+ * fault → poisoned() stream that is never cached; other kinds throw
+ * FaultError from openScoreStream), and a non-finite cost produced
+ * while scoring surfaces as FaultError(inference.scores, NanScores).
  *
  * Threading: one consumer thread drives ensureScored/finish; the
  * prefetch worker is the only other toucher and hands rows over
@@ -116,7 +117,7 @@ class ScoreStream
     bool fromCache_ = false;
     bool poisoned_ = false;
     /** A corrupt LRU hit was discarded at open; finish() notes the
-     *  recovery once the recompute lands, like scoresFor. */
+     *  recovery once the recompute lands. */
     bool recoveredPending_ = false;
 
     /** Set when complete (hit at open, or after finish()). */

@@ -9,9 +9,11 @@
 
 #include <cmath>
 
+#include "decoder/search_telemetry.hh"
 #include "decoder/viterbi_decoder.hh"
 #include "nbest/selectors.hh"
 #include "scoremodel/score_model.hh"
+#include "telemetry/snapshot.hh"
 #include "wfst/graph_builder.hh"
 
 namespace darkside {
@@ -254,6 +256,39 @@ TEST_F(DecoderFixture, ObserverSeesEveryEvent)
     EXPECT_EQ(observer.stateExpands, expanded);
     EXPECT_EQ(observer.utteranceEnds, 1u);
     EXPECT_EQ(observer.traceAllocated, result.traceStats.allocated);
+}
+
+TEST_F(DecoderFixture, BatchTelemetryCountsFramesAndUtterances)
+{
+    // Batch decode runs as a one-chunk stream but still announces the
+    // utterance length up front: search.frames moves by exactly the
+    // frame count and search.utterances by one. An empty score matrix
+    // returns before the observer is touched, so neither moves.
+    telemetry::MetricRegistry registry;
+    SearchTelemetry search_telemetry(registry);
+    const auto counter = [&registry](const char *name) {
+        const auto snap = registry.snapshot();
+        const auto *c = snap.findCounter(name);
+        return c ? c->value : 0;
+    };
+    ViterbiDecoder decoder(*fst, DecoderConfig{10.0f});
+
+    std::vector<WordId> words;
+    AcousticScores scores = makeScores(words, 20);
+    UnboundedSelector selector;
+    decoder.decode(scores, selector, &search_telemetry);
+    EXPECT_EQ(counter("search.frames"), scores.frameCount());
+    EXPECT_EQ(counter("search.utterances"), 1u);
+
+    // A moved-from matrix has no cost rows (vector move leaves the
+    // source empty): the only way to hold a zero-frame AcousticScores.
+    const AcousticScores moved = std::move(scores);
+    ASSERT_EQ(scores.frameCount(), 0u);
+    const DecodeResult empty =
+        decoder.decode(scores, selector, &search_telemetry);
+    EXPECT_TRUE(empty.frames.empty());
+    EXPECT_EQ(counter("search.frames"), moved.frameCount());
+    EXPECT_EQ(counter("search.utterances"), 1u);
 }
 
 /**

@@ -958,9 +958,10 @@ TEST_P(StreamingChunkProperty, ChunkedDecodeMatchesBatch)
             stream.advanceFrames(scores, begin, end);
             const PartialHypothesis partial = stream.partial();
             EXPECT_EQ(partial.frames, stream.frames());
-            if (!stream.dead())
+            if (!stream.dead()) {
                 EXPECT_LT(partial.cost,
                           std::numeric_limits<float>::infinity());
+            }
         }
         return stream;
     };
@@ -1065,11 +1066,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(2, 4)));
 
 // ---------------------------------------------------------------------
-// Chunked acoustic scoring: ScoreMatrixBuilder must reproduce
-// AcousticScores::fromEngine bit-identically — every cost row and the
-// mean confidence — for ANY sequence of scoreTo() boundaries, and
-// ScoreStream must commit the finished matrix to the same caches
-// scoresFor fills. This is the scoring half of the pipelined-serving
+// Chunked acoustic scoring: ScoreMatrixBuilder must reproduce the
+// whole-utterance reference — fromPosteriors over forwardAll's
+// posteriors — bit-identically (every cost row and the mean
+// confidence) for ANY sequence of scoreTo() boundaries, and
+// ScoreStream must commit the finished matrix to the caches scoresFor
+// reads. This is the scoring half of the pipelined-serving
 // contract: chunk boundaries are call-boundary artifacts, never
 // arithmetic.
 // ---------------------------------------------------------------------
@@ -1106,8 +1108,10 @@ TEST_P(ChunkedScoringProperty, BuilderMatchesBatchScoringBitwise)
         const InferenceEngine &engine = ctx.system.engineFor(level);
         for (const auto &utt : ctx.testSet) {
             const auto inputs = ctx.corpus.spliceUtterance(utt);
+            std::vector<Vector> posteriors;
+            engine.forwardAll(inputs, posteriors);
             const AcousticScores want =
-                AcousticScores::fromEngine(engine, inputs, scale);
+                AcousticScores::fromPosteriors(posteriors, scale);
 
             ScoreMatrixBuilder builder(engine, inputs, scale);
             const std::size_t frames = builder.frameCount();
@@ -1180,8 +1184,8 @@ TEST_P(ChunkedScoringProperty, ScoreStreamCommitsTheScoresForMatrix)
             EXPECT_TRUE(warm->complete());
             EXPECT_EQ(warm->finish().get(), committed.get());
 
-            // Bit-identical to the batch scoring path over the same
-            // frames (fresh id: a cold scoresFor compute).
+            // Bit-identical to scoresFor (one window, scored on this
+            // thread) over the same frames (fresh id: a cold compute).
             Utterance fresh = ctx.testSet[i];
             fresh.id = mix64(utt.id ^ 0x77u) | 1;
             const auto want = ctx.system.scoresFor(fresh, level);

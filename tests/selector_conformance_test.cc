@@ -2,8 +2,8 @@
  * @file
  * Conformance suite for the HypothesisSelector seam: every selector —
  * baseline, bounded-hash, histogram and the frame-adaptive pair — must
- * honour the same finishFrame contract, because the devirtualized
- * decode kernel and the streaming arm assume it:
+ * honour the same finishFrame contract, because the decoder's one
+ * (devirtualized) search loop assumes it:
  *
  *  - finishFrame returns the minimum survivor cost (+inf when the
  *    frame is dead), so the decoder's next beam bound needs no rescan;
@@ -25,6 +25,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "decoder/viterbi_decoder.hh"
@@ -36,6 +37,17 @@
 
 namespace darkside {
 namespace {
+
+// The decoder's selector visitor binds exactly these seven statically;
+// a library selector that is not `final` would silently fall back to
+// the virtual interface on every arc.
+static_assert(std::is_final_v<UnboundedSelector>);
+static_assert(std::is_final_v<AccurateNBest>);
+static_assert(std::is_final_v<DirectMappedHash>);
+static_assert(std::is_final_v<SetAssociativeHash>);
+static_assert(std::is_final_v<HistogramPruning>);
+static_assert(std::is_final_v<RelativeThresholdSelector>);
+static_assert(std::is_final_v<AdaptiveBeamSelector>);
 
 using SelectorFactory =
     std::function<std::unique_ptr<HypothesisSelector>()>;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the util library: RNG determinism and distribution
- * sanity, running statistics, histograms, edit distance and bit helpers.
+ * sanity, running statistics, histograms, edit distance, bit helpers
+ * and the byte codec.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "util/rng.hh"
 #include "util/stats.hh"
 #include "util/text_table.hh"
+#include "util/wire.hh"
 
 namespace darkside {
 namespace {
@@ -437,6 +439,69 @@ TEST(Json, NonNegativeIntegerPredicate)
         JsonValue::parse("1.5", &error).isNonNegativeInteger());
     EXPECT_FALSE(
         JsonValue::parse("true", &error).isNonNegativeInteger());
+}
+
+TEST(Wire, RoundTripsEveryFieldKind)
+{
+    std::string bytes;
+    const std::vector<std::uint32_t> words{7, 0, 42};
+    const float costs[2] = {1.5f, -2.25f};
+    wire::Writer(bytes)
+        .pod<std::uint8_t>(1)
+        .string("cause")
+        .vector(words)
+        .pods(costs, 2)
+        .bytes("raw");
+    // u8 + (u64 + 5) + (u64 + 3 * u32) + 2 * f32 + 3 raw bytes.
+    EXPECT_EQ(bytes.size(), 1u + 13u + 20u + 8u + 3u);
+
+    wire::Reader r(bytes);
+    std::uint8_t flag = 0;
+    std::string cause, raw;
+    std::vector<std::uint32_t> got_words;
+    float got_costs[2] = {};
+    ASSERT_TRUE(r.pod(flag) && r.string(cause) && r.vector(got_words) &&
+                r.pods(got_costs, 2) && r.bytes(raw, 3));
+    EXPECT_TRUE(r.done());
+    EXPECT_EQ(flag, 1u);
+    EXPECT_EQ(cause, "cause");
+    EXPECT_EQ(got_words, words);
+    EXPECT_EQ(got_costs[0], costs[0]);
+    EXPECT_EQ(got_costs[1], costs[1]);
+    EXPECT_EQ(raw, "raw");
+}
+
+TEST(Wire, RefusesReadsPastTheEnd)
+{
+    std::string bytes;
+    wire::Writer(bytes).pod<std::uint32_t>(5);
+    wire::Reader r(bytes);
+    std::uint64_t wide = 0;
+    EXPECT_FALSE(r.pod(wide));
+    EXPECT_EQ(r.remaining(), 4u);
+    std::string s;
+    EXPECT_FALSE(r.bytes(s, 5));
+    std::uint32_t narrow = 0;
+    EXPECT_TRUE(r.pod(narrow));
+    EXPECT_EQ(narrow, 5u);
+    EXPECT_FALSE(r.pod(narrow));
+    EXPECT_TRUE(r.done());
+}
+
+TEST(Wire, RefusesLengthPrefixesBeyondThePayload)
+{
+    // A corrupt count must be refused before anything is allocated for
+    // it, including counts whose byte size overflows 64 bits.
+    for (const std::uint64_t count :
+         {std::uint64_t{5}, std::uint64_t{1} << 62, ~std::uint64_t{0}}) {
+        std::string bytes;
+        wire::Writer(bytes).pod(count).pod<std::uint32_t>(9);
+        std::vector<std::uint32_t> words;
+        EXPECT_FALSE(wire::Reader(bytes).vector(words)) << count;
+        EXPECT_TRUE(words.empty());
+        std::string s;
+        EXPECT_FALSE(wire::Reader(bytes).string(s)) << count;
+    }
 }
 
 } // namespace

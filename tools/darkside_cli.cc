@@ -350,9 +350,9 @@ cmdDecode(int argc, const char *const *argv)
         fatal("bad --selector '%s'", spec.c_str());
     };
 
-    // One compiled engine for the whole test set; each decode feeds
-    // the telemetry observer, so --metrics captures both stages.
-    const InferenceEngine engine(ctx.zoo.model(level));
+    // Scores come from the system's one scoring path (compiled engine
+    // per level, score cache); each decode feeds the telemetry
+    // observer, so --metrics captures both stages.
     const LatticeDecoder decoder(ctx.fst, DecoderConfig{beam});
     SearchTelemetry search_telemetry;
     EditStats wer;
@@ -364,18 +364,7 @@ cmdDecode(int argc, const char *const *argv)
         // degrades just this utterance; the batch carries on and the
         // command still exits 0.
         try {
-            auto spliced = ctx.corpus.spliceUtterance(utt);
-            std::optional<AcousticScores> scores;
-            if (auto kind = FaultInjector::global().trigger(
-                    "inference.scores", utt.id)) {
-                if (*kind != FaultKind::NanScores)
-                    throw FaultError("inference.scores", *kind, utt.id);
-                scores = AcousticScores::poisoned(
-                    spliced.size(), ctx.corpus.classCount());
-            } else {
-                scores = AcousticScores::fromEngine(
-                    engine, spliced, setup.platform.acousticScale);
-            }
+            const auto scores = ctx.system.scoresFor(utt, level);
             if (!scores->finite()) {
                 throw FaultError("inference.scores",
                                  FaultKind::NanScores, utt.id);
