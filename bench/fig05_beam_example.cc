@@ -59,7 +59,8 @@ showCase(const char *label, const Vector &posteriors,
         survivors += keep ? 1 : 0;
         table.row(
             {candidates[i].name,
-             "S" + std::to_string(candidates[i].subPhoneme + 1),
+             std::string("S").append(
+                 std::to_string(candidates[i].subPhoneme + 1)),
              TextTable::num(candidates[i].sourceCost, 2),
              TextTable::num(costs[i] - candidates[i].sourceCost, 2),
              TextTable::num(costs[i], 2), keep ? "kept" : "discarded"});

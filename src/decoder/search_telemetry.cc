@@ -1,5 +1,7 @@
 #include "decoder/search_telemetry.hh"
 
+#include "telemetry/catalog.hh"
+
 namespace darkside {
 
 SearchTelemetry::SearchTelemetry(telemetry::MetricRegistry &registry)
@@ -20,18 +22,18 @@ SearchTelemetry::SearchTelemetry(telemetry::MetricRegistry &registry)
       evictions_(registry.counter("selector.evictions", "hypotheses")),
       rejections_(registry.counter("selector.rejections", "hypotheses")),
       traceAllocated_(
-          registry.counter("decode.trace.allocated", "nodes")),
+          registry.counter(telemetry::metric("decode.trace.allocated"))),
       traceCollected_(
-          registry.counter("decode.trace.collected", "nodes")),
+          registry.counter(telemetry::metric("decode.trace.collected"))),
       traceGcRuns_(
-          registry.counter("decode.trace.gc_runs", "collections")),
+          registry.counter(telemetry::metric("decode.trace.gc_runs"))),
       hypsPerFrame_(registry.histogram("search.hypotheses_per_frame",
                                        "hypotheses", {0.0, 2048.0, 64})),
       generatedPerFrame_(
           registry.histogram("search.generated_per_frame", "hypotheses",
                              {0.0, 8192.0, 64})),
-      tracePeakLive_(registry.histogram("decode.trace.peak_live",
-                                        "nodes", {0.0, 32768.0, 64}))
+      tracePeakLive_(
+          registry.histogram(telemetry::metric("decode.trace.peak_live")))
 {}
 
 void

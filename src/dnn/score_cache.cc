@@ -1,5 +1,6 @@
 #include "dnn/score_cache.hh"
 
+#include "telemetry/catalog.hh"
 #include "telemetry/metrics.hh"
 
 namespace darkside {
@@ -27,11 +28,11 @@ struct Counters
         static const Counters c = [] {
             auto &reg = telemetry::MetricRegistry::global();
             return Counters{
-                reg.counter("dnn.cache.lookup", "lookups", false),
-                reg.counter("dnn.cache.hit", "lookups", false),
-                reg.counter("dnn.cache.miss", "lookups", false),
-                reg.counter("dnn.cache.insert", "entries", false),
-                reg.counter("dnn.cache.evict", "entries", false),
+                reg.counter(telemetry::metric("dnn.cache.lookup")),
+                reg.counter(telemetry::metric("dnn.cache.hit")),
+                reg.counter(telemetry::metric("dnn.cache.miss")),
+                reg.counter(telemetry::metric("dnn.cache.insert")),
+                reg.counter(telemetry::metric("dnn.cache.evict")),
             };
         }();
         return c;

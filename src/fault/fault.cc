@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "telemetry/catalog.hh"
 #include "telemetry/metrics.hh"
 #include "util/bits.hh"
 #include "util/json.hh"
@@ -37,10 +38,11 @@ struct FaultMetrics
         static const FaultMetrics m = [] {
             auto &reg = telemetry::MetricRegistry::global();
             FaultMetrics fm;
-            fm.injected = reg.counter("fault.injected", "faults");
-            fm.retried = reg.counter("fault.retried", "attempts");
-            fm.recovered = reg.counter("fault.recovered", "operations");
-            fm.degraded = reg.counter("fault.degraded", "utterances");
+            fm.injected = reg.counter(telemetry::metric("fault.injected"));
+            fm.retried = reg.counter(telemetry::metric("fault.retried"));
+            fm.recovered =
+                reg.counter(telemetry::metric("fault.recovered"));
+            fm.degraded = reg.counter(telemetry::metric("fault.degraded"));
             return fm;
         }();
         return m;
@@ -422,7 +424,8 @@ FaultInjector::trigger(const char *probe, std::uint64_t key)
         auto &reg = telemetry::MetricRegistry::global();
         if (deterministic)
             FaultMetrics::get().injected.add(1);
-        reg.counter(std::string("fault.injected.") + probe, "faults",
+        reg.counter(std::string(telemetry::kFaultProbeFamily) + probe,
+                    telemetry::metric("fault.injected").unit,
                     deterministic)
             .add(1);
         return rule.kind;

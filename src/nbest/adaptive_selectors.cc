@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "telemetry/catalog.hh"
 #include "telemetry/metrics.hh"
 #include "util/logging.hh"
 
@@ -35,17 +36,17 @@ selectorTelemetry()
     static const SelectorTelemetry t = [] {
         auto &reg = telemetry::MetricRegistry::global();
         SelectorTelemetry s;
-        s.frames = reg.counter("decode.selector.frames", "frames");
-        s.thresholdHits =
-            reg.counter("decode.selector.threshold_hits", "hypotheses");
+        s.frames = reg.counter(telemetry::metric("decode.selector.frames"));
+        s.thresholdHits = reg.counter(
+            telemetry::metric("decode.selector.threshold_hits"));
         s.capHits =
-            reg.counter("decode.selector.cap_hits", "hypotheses");
-        s.beamWidth = reg.histogram("decode.selector.beam_width",
-                                    "logcost", {0.0, 20.0, 40});
-        s.survivors = reg.histogram("decode.selector.survivors",
-                                    "hypotheses", {0.0, 2048.0, 32});
-        s.entropy = reg.histogram("decode.selector.entropy", "ratio",
-                                  {0.0, 1.0, 20});
+            reg.counter(telemetry::metric("decode.selector.cap_hits"));
+        s.beamWidth = reg.histogram(
+            telemetry::metric("decode.selector.beam_width"));
+        s.survivors =
+            reg.histogram(telemetry::metric("decode.selector.survivors"));
+        s.entropy =
+            reg.histogram(telemetry::metric("decode.selector.entropy"));
         return s;
     }();
     return t;

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <thread>
 
+#include "telemetry/catalog.hh"
 #include "telemetry/metrics.hh"
 
 namespace darkside {
@@ -229,16 +230,17 @@ void
 publishServeGauges(const ServeReport &report)
 {
     auto &reg = telemetry::MetricRegistry::global();
-    reg.setGauge("serve.chunk_p50_us", "us",
+    using telemetry::metric;
+    reg.setGauge(metric("serve.chunk_p50_us"),
                  pct(report.chunkLatencyUs, 50.0));
-    reg.setGauge("serve.chunk_p95_us", "us",
+    reg.setGauge(metric("serve.chunk_p95_us"),
                  pct(report.chunkLatencyUs, 95.0));
-    reg.setGauge("serve.chunk_p99_us", "us",
+    reg.setGauge(metric("serve.chunk_p99_us"),
                  pct(report.chunkLatencyUs, 99.0));
-    reg.setGauge("serve.sessions_per_sec", "sessions/s",
+    reg.setGauge(metric("serve.sessions_per_sec"),
                  report.sessionsPerSecond());
-    reg.setGauge("serve.ttfp_p50_us", "us", pct(report.ttfpUs, 50.0));
-    reg.setGauge("serve.ttfp_p95_us", "us", pct(report.ttfpUs, 95.0));
+    reg.setGauge(metric("serve.ttfp_p50_us"), pct(report.ttfpUs, 50.0));
+    reg.setGauge(metric("serve.ttfp_p95_us"), pct(report.ttfpUs, 95.0));
 }
 
 } // namespace darkside

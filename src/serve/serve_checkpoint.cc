@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "fault/fault.hh"
+#include "telemetry/catalog.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/snapshot.hh"
 #include "util/bits.hh"
@@ -16,11 +17,11 @@ namespace darkside {
 namespace {
 
 void
-bumpServeDrainCounter(const char *name, const char *unit)
+bumpServeDrainCounter(const telemetry::MetricDef &def)
 {
     // Registered alongside the other serve.* counters by the server;
     // this only has to bump it.
-    telemetry::MetricRegistry::global().counter(name, unit).add(1);
+    telemetry::MetricRegistry::global().counter(def).add(1);
 }
 
 } // namespace
@@ -89,7 +90,8 @@ ServeCheckpoint::saveSession(std::uint64_t sessionKey,
     const Status status = store_.write(name, kSessionKind, payload);
     if (!status.isOk())
         return status;
-    bumpServeDrainCounter("serve.drain.committed_units", "units");
+    bumpServeDrainCounter(
+        telemetry::metric("serve.drain.committed_units"));
 
     // Torn-commit model: the rename landed but the page cache lied —
     // half the frame never reached the disk. The writer believed the
@@ -138,7 +140,8 @@ ServeCheckpoint::loadSession(std::size_t index,
     // All-or-nothing: the delta is applied only after the whole unit
     // parsed and matched its key.
     telemetry::MetricRegistry::global().apply(delta.value());
-    bumpServeDrainCounter("serve.drain.resumed_sessions", "sessions");
+    bumpServeDrainCounter(
+        telemetry::metric("serve.drain.resumed_sessions"));
     return o;
 }
 

@@ -6,6 +6,7 @@
 #include "fault/fault.hh"
 #include "serve/serve_checkpoint.hh"
 #include "system/score_stream.hh"
+#include "telemetry/catalog.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/snapshot.hh"
 
@@ -52,36 +53,30 @@ struct ServeMetrics
     get()
     {
         static const ServeMetrics m = [] {
+            using telemetry::metric;
             auto &reg = telemetry::MetricRegistry::global();
             ServeMetrics s{
-                reg.counter("serve.sessions.offered", "sessions"),
-                reg.counter("serve.sessions.admitted", "sessions",
-                            false),
-                reg.counter("serve.sessions.shed", "sessions", false),
-                reg.counter("serve.sessions.completed", "sessions",
-                            false),
-                reg.counter("serve.sessions.degraded", "sessions",
-                            false),
-                reg.counter("serve.chunks", "chunks", false),
-                reg.counter("serve.frames", "frames", false),
-                reg.counter("serve.shed.queue", "sessions", false),
-                reg.counter("serve.shed.deadline", "sessions", false),
-                reg.counter("serve.shed.length", "sessions", false),
-                reg.counter("serve.shed.breaker", "sessions", false),
-                reg.counter("serve.shed.injected", "sessions", false),
-                reg.counter("serve.breaker.trips", "trips", false),
-                reg.counter("serve.breaker.half_opens", "probes",
-                            false),
-                reg.counter("serve.drain.requested", "drains"),
-                reg.counter("serve.drain.refused", "sessions"),
-                reg.counter("serve.drain.committed_units", "units"),
-                reg.counter("serve.drain.resumed_sessions", "sessions"),
-                reg.histogram("serve.chunk_latency_us", "us",
-                              {0.0, 20000.0, 50}, false),
-                reg.histogram("serve.session_latency_us", "us",
-                              {0.0, 2000000.0, 50}, false),
-                reg.histogram("serve.ttfp_us", "us",
-                              {0.0, 2000000.0, 50}, false),
+                reg.counter(metric("serve.sessions.offered")),
+                reg.counter(metric("serve.sessions.admitted")),
+                reg.counter(metric("serve.sessions.shed")),
+                reg.counter(metric("serve.sessions.completed")),
+                reg.counter(metric("serve.sessions.degraded")),
+                reg.counter(metric("serve.chunks")),
+                reg.counter(metric("serve.frames")),
+                reg.counter(metric("serve.shed.queue")),
+                reg.counter(metric("serve.shed.deadline")),
+                reg.counter(metric("serve.shed.length")),
+                reg.counter(metric("serve.shed.breaker")),
+                reg.counter(metric("serve.shed.injected")),
+                reg.counter(metric("serve.breaker.trips")),
+                reg.counter(metric("serve.breaker.half_opens")),
+                reg.counter(metric("serve.drain.requested")),
+                reg.counter(metric("serve.drain.refused")),
+                reg.counter(metric("serve.drain.committed_units")),
+                reg.counter(metric("serve.drain.resumed_sessions")),
+                reg.histogram(metric("serve.chunk_latency_us")),
+                reg.histogram(metric("serve.session_latency_us")),
+                reg.histogram(metric("serve.ttfp_us")),
             };
             return s;
         }();
@@ -108,13 +103,16 @@ elapsedUs(std::chrono::steady_clock::time_point since)
 telemetry::Snapshot
 sessionDelta(bool degraded)
 {
+    const auto one = [](const telemetry::MetricDef &m) {
+        return telemetry::CounterSample{m.name, m.unit, m.deterministic,
+                                        1};
+    };
     telemetry::Snapshot delta;
     delta.counters.push_back(
-        {"serve.sessions.admitted", "sessions", false, 1});
+        one(telemetry::metric("serve.sessions.admitted")));
     delta.counters.push_back(
-        {degraded ? "serve.sessions.degraded"
-                  : "serve.sessions.completed",
-         "sessions", false, 1});
+        one(degraded ? telemetry::metric("serve.sessions.degraded")
+                     : telemetry::metric("serve.sessions.completed")));
     delta.sortByName();
     return delta;
 }

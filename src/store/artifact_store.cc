@@ -11,6 +11,7 @@
 #include <system_error>
 
 #include "fault/fault.hh"
+#include "telemetry/catalog.hh"
 #include "telemetry/metrics.hh"
 #include "util/crc32.hh"
 #include "util/logging.hh"
@@ -42,15 +43,15 @@ struct StoreMetrics
         static const StoreMetrics m = [] {
             auto &reg = telemetry::MetricRegistry::global();
             StoreMetrics sm;
-            sm.writes = reg.counter("store.writes", "artifacts");
+            sm.writes = reg.counter(telemetry::metric("store.writes"));
             sm.writeFailures =
-                reg.counter("store.write_failures", "artifacts");
+                reg.counter(telemetry::metric("store.write_failures"));
             sm.verifiedReads =
-                reg.counter("store.verified_reads", "artifacts");
+                reg.counter(telemetry::metric("store.verified_reads"));
             sm.quarantined =
-                reg.counter("store.quarantined", "artifacts");
+                reg.counter(telemetry::metric("store.quarantined"));
             sm.resumedUnits =
-                reg.counter("store.resumed_units", "units");
+                reg.counter(telemetry::metric("store.resumed_units"));
             return sm;
         }();
         return m;

@@ -1,5 +1,6 @@
 #include "store/checkpoint.hh"
 
+#include "telemetry/catalog.hh"
 #include "telemetry/metrics.hh"
 
 namespace darkside {
@@ -24,7 +25,7 @@ RunCheckpoint::noteResumedUnit()
     // Registered alongside the other store.* counters by the store
     // itself; this only has to bump it.
     telemetry::MetricRegistry::global()
-        .counter("store.resumed_units", "units")
+        .counter(telemetry::metric("store.resumed_units"))
         .add(1);
 }
 

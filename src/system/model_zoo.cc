@@ -205,10 +205,12 @@ ModelZoo::tryLoad(PruneLevel level)
         retryWithBackoff(RetryPolicy{}, [&]() -> Result<Mlp> {
             if (auto kind = FaultInjector::global().trigger(
                     "zoo.model_load", key)) {
-                return Status::error("'" + store_->pathOf(name) +
-                                     "': injected " +
-                                     faultKindName(*kind) +
-                                     " (fault zoo.model_load)");
+                std::string what = "'";
+                what += store_->pathOf(name);
+                what += "': injected ";
+                what += faultKindName(*kind);
+                what += " (fault zoo.model_load)";
+                return Status::error(what);
             }
             auto payload = store_->read(name, kModelKind);
             if (!payload.isOk())

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 
+#include "telemetry/catalog.hh"
 #include "telemetry/snapshot.hh"
 #include "util/logging.hh"
 
@@ -227,6 +228,20 @@ MetricRegistry::counter(const std::string &name, const std::string &unit,
     return Counter(this, id);
 }
 
+Counter
+MetricRegistry::counter(const MetricDef &def)
+{
+    ds_assert(def.kind == MetricKind::Counter);
+    return counter(def.name, def.unit, def.deterministic);
+}
+
+Histogram
+MetricRegistry::histogram(const MetricDef &def)
+{
+    ds_assert(def.kind == MetricKind::Histogram);
+    return histogram(def.name, def.unit, def.spec, def.deterministic);
+}
+
 Histogram
 MetricRegistry::histogram(const std::string &name,
                           const std::string &unit,
@@ -256,6 +271,13 @@ MetricRegistry::setGauge(const std::string &name, const std::string &unit,
 {
     std::lock_guard<std::mutex> lock(mutex_);
     gauges_[name] = {unit, value};
+}
+
+void
+MetricRegistry::setGauge(const MetricDef &def, double value)
+{
+    ds_assert(def.kind == MetricKind::Gauge);
+    setGauge(def.name, def.unit, value);
 }
 
 void

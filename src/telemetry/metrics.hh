@@ -50,6 +50,7 @@ namespace darkside {
 namespace telemetry {
 
 class MetricRegistry;
+struct MetricDef;
 struct Snapshot;
 
 /** Most counters/histograms a registry can hold (shards preallocate). */
@@ -174,6 +175,11 @@ class MetricRegistry
                         const HistogramSpec &spec,
                         bool deterministic = true);
 
+    /** Register (or look up) a catalogued metric (telemetry/catalog.hh)
+     *  with the row's unit, determinism flag and bucket geometry. */
+    Counter counter(const MetricDef &def);
+    Histogram histogram(const MetricDef &def);
+
     /**
      * Set a gauge to a value. Gauges are unsharded doubles for
      * deterministic single-threaded contexts only (setup constants,
@@ -181,6 +187,7 @@ class MetricRegistry
      */
     void setGauge(const std::string &name, const std::string &unit,
                   double value);
+    void setGauge(const MetricDef &def, double value);
 
     /** Accumulate into a gauge (same discipline as setGauge). */
     void addGauge(const std::string &name, const std::string &unit,

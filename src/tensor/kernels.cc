@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "telemetry/catalog.hh"
 #include "telemetry/metrics.hh"
 #include "tensor/kernels_detail.hh"
 #include "util/logging.hh"
@@ -36,13 +37,14 @@ struct KernelMetrics
         static const KernelMetrics m = [] {
             auto &reg = telemetry::MetricRegistry::global();
             KernelMetrics km;
-            km.dispatchScalar =
-                reg.counter("dnn.kernel.dispatch.scalar", "calls");
+            km.dispatchScalar = reg.counter(
+                telemetry::metric("dnn.kernel.dispatch.scalar"));
             km.dispatchAvx2 =
-                reg.counter("dnn.kernel.dispatch.avx2", "calls");
+                reg.counter(telemetry::metric("dnn.kernel.dispatch.avx2"));
             km.denseBlocks =
-                reg.counter("dnn.kernel.dense_blocks", "blocks");
-            km.spmvRows = reg.counter("dnn.kernel.spmv_rows", "rows");
+                reg.counter(telemetry::metric("dnn.kernel.dense_blocks"));
+            km.spmvRows =
+                reg.counter(telemetry::metric("dnn.kernel.spmv_rows"));
             return km;
         }();
         return m;

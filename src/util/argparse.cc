@@ -84,7 +84,7 @@ ArgParser::parse(int argc, const char *const *argv)
                              arg.c_str());
                 return false;
             }
-            it->second.value = "1";
+            it->second.value.assign(1, '1');
             continue;
         }
         if (!has_value) {

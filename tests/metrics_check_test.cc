@@ -8,7 +8,10 @@
  * pass. Each mutation of it (a missing member, a wrong unit or
  * determinism flag, an unknown name, a broken ledger identity, a bad
  * fault.injected.<probe> entry, --expect-faults without faults) must
- * be rejected with exit status 1 and a message naming the metric.
+ * be rejected with exit status 1 and a message naming the metric, and
+ * validateMetricsJson must report it. Every catalog row and ledger
+ * identity is also broken one at a time in process, and the metric
+ * tables of docs/METRICS.md must list exactly the catalog's rows.
  *
  * The checker binary defaults to the one built with this tree; set
  * DARKSIDE_METRICS_CHECK to run the same cases against another build.
@@ -23,6 +26,8 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <set>
+#include <sstream>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -31,7 +36,9 @@
 #include "mini_setup.hh"
 #include "serve/serve_bench.hh"
 #include "serve/serve_checkpoint.hh"
+#include "metrics_validate.hh"
 #include "system/defaults.hh"
+#include "telemetry/catalog.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/snapshot.hh"
 
@@ -41,10 +48,16 @@ namespace {
 #ifndef DS_METRICS_CHECK
 #error "DS_METRICS_CHECK must name the metrics_check binary"
 #endif
+#ifndef DS_METRICS_DOC
+#error "DS_METRICS_DOC must point at docs/METRICS.md"
+#endif
 
 using telemetry::CounterSample;
 using telemetry::GaugeSample;
 using telemetry::HistogramSample;
+using telemetry::LedgerIdentity;
+using telemetry::MetricDef;
+using telemetry::MetricKind;
 using telemetry::Snapshot;
 
 /** Per-process scratch directory, removed at exit. */
@@ -128,10 +141,37 @@ erase(std::vector<Sample> &section, const std::string &name)
                   [&](const Sample &s) { return s.name == name; });
 }
 
-/** Exit status of the checker over `snap` written to a file; its
- *  stderr lands in `*output` when given. */
+/** `snap` as the exporter writes it (sorted by name). */
+std::string
+jsonOf(const Snapshot &snap)
+{
+    Snapshot sorted = snap;
+    sorted.sortByName();
+    return sorted.toJson();
+}
+
+/** Problems validateMetricsJson finds in `snap`. */
+std::vector<std::string>
+problemsOf(const Snapshot &snap, bool expect_faults = false)
+{
+    return validateMetricsJson(jsonOf(snap), expect_faults);
+}
+
+bool
+mentions(const std::vector<std::string> &problems,
+         const std::string &needle)
+{
+    for (const std::string &p : problems) {
+        if (p.find(needle) != std::string::npos)
+            return true;
+    }
+    return false;
+}
+
+/** Exit status of the checker over the document `text` written to a
+ *  file; its stderr lands in `*output` when given. */
 int
-runChecker(const Snapshot &snap, bool expect_faults,
+runChecker(const std::string &text, bool expect_faults,
            const std::string &label, std::string *output = nullptr)
 {
     std::string stem = label;
@@ -141,9 +181,7 @@ runChecker(const Snapshot &snap, bool expect_faults,
     }
     const std::string json = scratchDir() + "/" + stem + ".json";
     const std::string log = scratchDir() + "/" + stem + ".log";
-    Snapshot sorted = snap;
-    sorted.sortByName();
-    EXPECT_TRUE(sorted.writeJsonFile(json)) << json;
+    std::ofstream(json) << text;
 
     const char *env = std::getenv("DARKSIDE_METRICS_CHECK");
     const std::string checker = env && *env ? env : DS_METRICS_CHECK;
@@ -174,10 +212,13 @@ expectAllRejected(const std::vector<Mutation> &cases)
         Snapshot snap = liveSnapshot();
         m.apply(snap);
         std::string output;
-        EXPECT_EQ(runChecker(snap, m.expectFaults, m.label, &output), 1)
+        EXPECT_EQ(
+            runChecker(jsonOf(snap), m.expectFaults, m.label, &output), 1)
             << m.label << " was not rejected";
         EXPECT_NE(output.find(m.needle), std::string::npos)
             << m.label << ": '" << m.needle << "' not in:\n" << output;
+        EXPECT_TRUE(mentions(problemsOf(snap, m.expectFaults), m.needle))
+            << m.label << " was not reported in process";
     }
 }
 
@@ -250,16 +291,16 @@ exceed(const std::string &name, const std::string &bound)
 
 // ---------------------------------------------------------------------
 
-TEST(MetricsCheck, LiveSnapshotCoversEveryCheckedNamespace)
+TEST(MetricsCheck, LiveSnapshotCoversEveryCatalogRow)
 {
+    // Each namespace is present, so the clean pass below holds every
+    // row to its kind, unit, flag and geometry.
     const Snapshot &snap = liveSnapshot();
-    for (const char *name :
-         {"fault.injected", "store.writes", "decode.trace.allocated",
-          "dnn.kernel.dense_blocks", "dnn.cache.lookup",
-          "decode.selector.frames", "serve.sessions.offered"}) {
-        EXPECT_NE(snap.findCounter(name), nullptr) << name;
+    for (const MetricDef &m : telemetry::kMetricCatalog) {
+        const bool found = snap.findCounter(m.name) ||
+            snap.findGauge(m.name) || snap.findHistogram(m.name);
+        EXPECT_TRUE(found) << m.name;
     }
-    EXPECT_NE(snap.findGauge("serve.sessions_per_sec"), nullptr);
     const CounterSample *injected = snap.findCounter("fault.injected");
     ASSERT_NE(injected, nullptr);
     EXPECT_GT(injected->value, 0u);
@@ -267,14 +308,61 @@ TEST(MetricsCheck, LiveSnapshotCoversEveryCheckedNamespace)
 
 TEST(MetricsCheck, CleanSnapshotsPass)
 {
-    EXPECT_EQ(runChecker(liveSnapshot(), false, "clean"), 0);
-    EXPECT_EQ(runChecker(liveSnapshot(), true, "clean expect faults"),
-              0);
+    const std::string live = jsonOf(liveSnapshot());
+    EXPECT_EQ(runChecker(live, false, "clean"), 0);
+    EXPECT_EQ(runChecker(live, true, "clean expect faults"), 0);
     // Without the serve workload's namespaces a snapshot is still
     // valid: every namespace rule is conditional on presence.
-    Snapshot bare = liveSnapshot().withoutPrefixes(
+    const Snapshot bare = liveSnapshot().withoutPrefixes(
         {"fault.", "store.", "decode.", "dnn.", "serve."});
-    EXPECT_EQ(runChecker(bare, false, "clean bare"), 0);
+    EXPECT_EQ(runChecker(jsonOf(bare), false, "clean bare"), 0);
+
+    for (const Snapshot *snap : {&liveSnapshot(), &bare}) {
+        const auto problems = problemsOf(*snap);
+        EXPECT_TRUE(problems.empty()) << problems.front();
+    }
+    EXPECT_TRUE(problemsOf(liveSnapshot(), true).empty());
+}
+
+TEST(MetricsCheck, MalformedDocumentsAreRejected)
+{
+    const std::string base =
+        R"({"schema": "darkside-metrics-v1", "counters": [)"
+        R"({"name": "a.x", "unit": "u", "deterministic": true, "value": 1},)"
+        R"({"name": "a.y", "unit": "u", "deterministic": true, "value": 2})"
+        R"(], "gauges": [], "histograms": [)"
+        R"({"name": "a.h", "unit": "u", "deterministic": true, "lo": 0,)"
+        R"( "hi": 1, "count": 1, "underflow": 0, "overflow": 0,)"
+        R"( "min": 0.5, "max": 0.5, "buckets": [1]}]})";
+    EXPECT_EQ(runChecker(base, false, "malformed base"), 0);
+    EXPECT_TRUE(validateMetricsJson(base, false).empty());
+
+    const auto with = [&](const std::string &from, const std::string &to) {
+        std::string text = base;
+        const auto at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return text.replace(at, from.size(), to);
+    };
+    const std::pair<std::string, std::string> cases[] = {
+        {"truncated", base.substr(0, base.size() / 2)},
+        {"array", "[]"},
+        {"schema", with("metrics-v1", "metrics-v2")},
+        {"no gauges", with(R"("gauges": [], )", "")},
+        {"extra member", with(R"("gauges": [], )",
+                              R"("gauges": [], "extra": 1, )")},
+        {"counter unit", with(R"("unit": "u", )", "")},
+        {"negative value", with(R"("value": 1)", R"("value": -1)")},
+        {"unsorted", with(R"("a.y")", R"("a.a")")},
+        {"lo >= hi", with(R"("hi": 1)", R"("hi": 0)")},
+        {"count", with(R"("count": 1)", R"("count": 2)")},
+        {"bucket", with(R"("buckets": [1])", R"("buckets": [0.5])")},
+        {"min > max", with(R"("min": 0.5)", R"("min": 0.7)")},
+    };
+    for (const auto &[label, text] : cases) {
+        EXPECT_EQ(runChecker(text, false, "malformed " + label), 1)
+            << label;
+        EXPECT_FALSE(validateMetricsJson(text, false).empty()) << label;
+    }
 }
 
 TEST(MetricsCheck, MissingMembersAreRejected)
@@ -336,6 +424,9 @@ TEST(MetricsCheck, UnknownNamesInClosedNamespacesAreRejected)
         unknownCounter("dnn.cache.prefetch"),
         unknownCounter("decode.selector.resets"),
         unknownCounter("serve.sessions.lost"),
+        unknownCounter("store.compactions"),
+        unknownCounter("decode.trace.freed"),
+        unknownCounter("fault.escalated"),
         {"unknown histogram decode.selector.margin",
          "decode.selector.margin",
          [](Snapshot &s) {
@@ -380,6 +471,11 @@ TEST(MetricsCheck, BadFaultProbeEntriesAreRejected)
              s.counters.push_back(
                  {"fault.injected.no.such_probe", "faults", true, 0});
          }},
+        {"probe unit", "fault.injected.serve.admit_drop",
+         [](Snapshot &s) {
+             sample(s.counters, "fault.injected.serve.admit_drop").unit =
+                 "calls";
+         }},
         {"probe flag", "fault.injected.serve.admit_drop",
          [](Snapshot &s) {
              auto &c =
@@ -402,6 +498,99 @@ TEST(MetricsCheck, ExpectFaultsRejectsFaultFreeSnapshots)
          },
          true},
     });
+}
+
+TEST(MetricsCheck, EveryCatalogRowIsEnforced)
+{
+    for (const MetricDef &m : telemetry::kMetricCatalog) {
+        const std::string name = m.name;
+        std::vector<Mutation> cases = {missing(name), wrongUnit(name)};
+        if (m.kind != MetricKind::Gauge)
+            cases.push_back(wrongFlag(name));
+        if (m.kind == MetricKind::Histogram) {
+            cases.push_back({"geometry " + name, name, [name](Snapshot &s) {
+                                 sample(s.histograms, name).hi *= 2.0;
+                             }});
+        }
+        for (const Mutation &c : cases) {
+            Snapshot snap = liveSnapshot();
+            c.apply(snap);
+            EXPECT_TRUE(mentions(problemsOf(snap), name)) << c.label;
+        }
+    }
+}
+
+TEST(MetricsCheck, EveryLedgerIdentityIsEnforced)
+{
+    for (const LedgerIdentity &id : telemetry::kLedgerIdentities) {
+        Snapshot snap = liveSnapshot();
+        auto &total = sample(snap.counters, id.total);
+        if (id.kind == LedgerIdentity::Kind::AtMost)
+            sample(snap.counters, id.parts[0]).value = total.value + 1;
+        else
+            total.value += 1;
+        EXPECT_TRUE(mentions(problemsOf(snap), id.total)) << id.total;
+    }
+}
+
+/** {name, kind, unit} of every catalogued metric, as text. */
+std::set<std::string>
+catalogRows()
+{
+    std::set<std::string> rows;
+    for (const MetricDef &m : telemetry::kMetricCatalog) {
+        rows.insert(std::string(m.name) + " | " +
+                    telemetry::metricKindName(m.kind) + " | " + m.unit);
+    }
+    return rows;
+}
+
+/**
+ * {name, kind, unit} of every docs/METRICS.md table row in a catalog
+ * namespace. Templated names (fault.injected.<probe>) are families
+ * the catalog does not list.
+ */
+std::set<std::string>
+documentedRows()
+{
+    std::ifstream is(DS_METRICS_DOC);
+    EXPECT_TRUE(is.good()) << DS_METRICS_DOC;
+    std::set<std::string> rows;
+    std::string line;
+    while (std::getline(is, line)) {
+        if (!line.starts_with("| `"))
+            continue;
+        std::vector<std::string> cells;
+        std::istringstream cols(line.substr(1));
+        std::string cell;
+        while (std::getline(cols, cell, '|')) {
+            const auto first = cell.find_first_not_of(' ');
+            const auto last = cell.find_last_not_of(' ');
+            cells.push_back(first == std::string::npos
+                                ? std::string()
+                                : cell.substr(first, last - first + 1));
+        }
+        if (cells.size() < 3 || cells[0].size() < 2)
+            continue;
+        const std::string name = cells[0].substr(1, cells[0].size() - 2);
+        bool in_catalog = false;
+        for (std::string_view ns : telemetry::kCatalogNamespaces)
+            in_catalog |= name.starts_with(ns);
+        if (!in_catalog || name.find('<') != std::string::npos)
+            continue;
+        rows.insert(name + " | " + cells[1] + " | " + cells[2]);
+    }
+    return rows;
+}
+
+TEST(MetricCatalog, DocsTablesListExactlyTheCatalog)
+{
+    const std::set<std::string> catalog = catalogRows();
+    const std::set<std::string> documented = documentedRows();
+    for (const std::string &row : catalog)
+        EXPECT_TRUE(documented.count(row)) << "undocumented: " << row;
+    for (const std::string &row : documented)
+        EXPECT_TRUE(catalog.count(row)) << "not in the catalog: " << row;
 }
 
 } // namespace

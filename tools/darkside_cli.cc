@@ -383,9 +383,10 @@ cmdDecode(int argc, const char *const *argv)
             wer.merge(alignSequences(utt.words, result.words));
             survivors += result.totalSurvivors();
             frames += result.frames.size();
-            transcripts += "utt " + std::to_string(i) + " ok";
+            transcripts.append("utt ").append(std::to_string(i)).append(
+                " ok");
             for (WordId w : result.words)
-                transcripts += " " + std::to_string(w);
+                transcripts.append(" ").append(std::to_string(w));
             transcripts += "\n";
             if (args.getSwitch("lattice")) {
                 std::printf("ref:");
@@ -396,8 +397,11 @@ cmdDecode(int argc, const char *const *argv)
         } catch (const FaultError &e) {
             ++degraded;
             FaultInjector::global().noteDegraded();
-            transcripts += "utt " + std::to_string(i) + " degraded " +
-                e.what() + "\n";
+            transcripts.append("utt ")
+                .append(std::to_string(i))
+                .append(" degraded ")
+                .append(e.what())
+                .append("\n");
             warn("utt %zu degraded: %s", i, e.what());
         }
     }
