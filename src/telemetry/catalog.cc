@@ -1,5 +1,7 @@
 #include "telemetry/catalog.hh"
 
+#include <iterator>
+
 #include "telemetry/snapshot.hh"
 
 namespace darkside {
@@ -7,22 +9,28 @@ namespace telemetry {
 
 namespace {
 
-constexpr const MetricDef *
-findRow(std::string_view name)
+constexpr std::size_t kNoRow = std::size(kMetricCatalog);
+
+/** Index of the row named `name`, kNoRow when there is none. (An index,
+ *  not a pointer: g++ 12 cannot constant-fold a pointer null check
+ *  under -fsanitize=undefined.) */
+constexpr std::size_t
+rowIndex(std::string_view name)
 {
-    for (const MetricDef &m : kMetricCatalog) {
-        if (name == m.name)
-            return &m;
+    for (std::size_t i = 0; i < kNoRow; ++i) {
+        if (name == kMetricCatalog[i].name)
+            return i;
     }
-    return nullptr;
+    return kNoRow;
 }
 
 /** Unique names, each in exactly one namespace; sane histograms. */
 constexpr bool
 rowsAreWellFormed()
 {
-    for (const MetricDef &m : kMetricCatalog) {
-        if (findRow(m.name) != &m)
+    for (std::size_t i = 0; i < kNoRow; ++i) {
+        const MetricDef &m = kMetricCatalog[i];
+        if (rowIndex(m.name) != i)
             return false;
         int namespaces = 0;
         for (std::string_view ns : kCatalogNamespaces)
@@ -40,13 +48,20 @@ rowsAreWellFormed()
 static_assert(rowsAreWellFormed(),
               "catalog rows must be unique, in one namespace each");
 
+/** Is `name` a catalogued metric of `kind`? */
+constexpr bool
+isRow(std::string_view name, MetricKind kind)
+{
+    const std::size_t i = rowIndex(name);
+    return i != kNoRow && kMetricCatalog[i].kind == kind;
+}
+
 /** Identities relate catalogued counters (and one histogram count). */
 constexpr bool
 identitiesNameRows()
 {
     for (const LedgerIdentity &id : kLedgerIdentities) {
-        const MetricDef *total = findRow(id.total);
-        if (!total || total->kind != MetricKind::Counter)
+        if (!isRow(id.total, MetricKind::Counter))
             return false;
         const MetricKind part_kind =
             id.kind == LedgerIdentity::Kind::HistogramCount
@@ -55,8 +70,7 @@ identitiesNameRows()
         for (const char *part : id.parts) {
             if (!part)
                 break;
-            const MetricDef *row = findRow(part);
-            if (!row || row->kind != part_kind)
+            if (!isRow(part, part_kind))
                 return false;
         }
     }
@@ -207,8 +221,7 @@ checkCatalog(const Snapshot &snap)
             if (e.kind == MetricKind::Counter &&
                 e.name->starts_with(kFaultProbeFamily))
                 continue;
-            const MetricDef *row = findRow(*e.name);
-            if (!row || row->kind != e.kind) {
+            if (!isRow(*e.name, e.kind)) {
                 problems.push_back(*e.name + ": unknown " +
                                    std::string(ns) + "* " +
                                    metricKindName(e.kind));

@@ -53,7 +53,6 @@ namespace {
 #endif
 
 using telemetry::CounterSample;
-using telemetry::GaugeSample;
 using telemetry::HistogramSample;
 using telemetry::LedgerIdentity;
 using telemetry::MetricDef;
